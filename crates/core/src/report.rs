@@ -106,8 +106,8 @@ pub fn evaluation_table(workload: &str, evals: &[Evaluation], methods: &[&str]) 
     t
 }
 
-/// Serializes evaluations to pretty JSON (consumed by EXPERIMENTS.md
-/// tooling and external analysis).
+/// Serializes evaluations to pretty JSON (what the `table1`/`table2`
+/// binaries write with `--json`, for external analysis).
 ///
 /// # Panics
 ///

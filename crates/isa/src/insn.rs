@@ -177,6 +177,27 @@ pub enum InsnClass {
     Other,
 }
 
+/// The most uops any one instruction decodes into (see
+/// [`InsnClass::uops`]). A counter of uops advances by at most this much
+/// per retired instruction, which bounds how soon it can overflow.
+pub const MAX_UOPS: u32 = 8;
+
+impl InsnClass {
+    /// Number of micro-operations an instruction of this class decodes
+    /// into; never more than [`MAX_UOPS`].
+    #[must_use]
+    pub fn uops(self) -> u32 {
+        match self {
+            InsnClass::Alu | InsnClass::Jump | InsnClass::Branch | InsnClass::Other => 1,
+            InsnClass::Mul | InsnClass::FpAdd | InsnClass::FpMul | InsnClass::Load => 1,
+            InsnClass::Store => 2,
+            InsnClass::Call | InsnClass::Ret => 2,
+            InsnClass::Div => MAX_UOPS,
+            InsnClass::FpDiv => 6,
+        }
+    }
+}
+
 /// An instruction; currently just the opcode, kept as a distinct type so
 /// metadata (e.g. debug info) can be added without touching every consumer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -222,14 +243,7 @@ impl Insn {
     /// precise uops instead").
     #[must_use]
     pub fn uops(&self) -> u32 {
-        match self.class() {
-            InsnClass::Alu | InsnClass::Jump | InsnClass::Branch | InsnClass::Other => 1,
-            InsnClass::Mul | InsnClass::FpAdd | InsnClass::FpMul | InsnClass::Load => 1,
-            InsnClass::Store => 2,
-            InsnClass::Call | InsnClass::Ret => 2,
-            InsnClass::Div => 8,
-            InsnClass::FpDiv => 6,
-        }
+        self.class().uops()
     }
 
     /// True when this instruction ends a basic block.
@@ -323,6 +337,26 @@ mod tests {
         assert_eq!(Insn::new(Opcode::Call(9)).direct_target(), Some(9));
         assert_eq!(Insn::new(Opcode::Ret).direct_target(), None);
         assert_eq!(Insn::new(Opcode::JmpInd(R1)).direct_target(), None);
+    }
+
+    #[test]
+    fn no_class_exceeds_max_uops() {
+        use InsnClass::*;
+        let all = [
+            Alu, Mul, Div, FpAdd, FpMul, FpDiv, Load, Store, Jump, Branch, Call, Ret, Other,
+        ];
+        // Exhaustive: a new class fails to compile here until listed above.
+        for class in all {
+            match class {
+                Alu | Mul | Div | FpAdd | FpMul | FpDiv | Load | Store | Jump | Branch | Call
+                | Ret | Other => {}
+            }
+            assert!(class.uops() >= 1 && class.uops() <= MAX_UOPS, "{class:?}");
+        }
+        assert!(
+            all.iter().any(|c| c.uops() == MAX_UOPS),
+            "MAX_UOPS is tight"
+        );
     }
 
     #[test]

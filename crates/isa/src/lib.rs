@@ -50,6 +50,6 @@ pub mod reg;
 pub use builder::ProgramBuilder;
 pub use cfg::{BasicBlock, BlockId, Cfg, Terminator};
 pub use error::IsaError;
-pub use insn::{Addr, Cond, Insn, InsnClass, Opcode};
+pub use insn::{Addr, Cond, Insn, InsnClass, Opcode, MAX_UOPS};
 pub use program::{Function, Program, SymbolTable};
 pub use reg::{FReg, Reg};

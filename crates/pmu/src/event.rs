@@ -4,6 +4,7 @@
 //! (§4.2, Table 3); the simulation reduces each to an increment rule over
 //! [`ct_sim::RetireEvent`]s.
 
+use ct_isa::MAX_UOPS;
 use ct_sim::RetireEvent;
 use serde::{Deserialize, Serialize};
 
@@ -47,6 +48,33 @@ impl PmuEvent {
                 u64::from(ev.is_taken_branch())
             }
             PmuEvent::IbsOp => u64::from(ev.uops),
+        }
+    }
+
+    /// How much this event increments over a run of retired instructions
+    /// that together made `taken` taken transfers and `uops` uops — the
+    /// sum of [`PmuEvent::increment`] over them.
+    #[must_use]
+    #[inline]
+    pub fn increment_over(self, insns: u64, taken: u64, uops: u64) -> u64 {
+        match self {
+            PmuEvent::InstRetiredAny
+            | PmuEvent::InstRetiredAll
+            | PmuEvent::InstRetiredPrecDist
+            | PmuEvent::AmdRetiredInstructions => insns,
+            PmuEvent::BrInstRetiredNearTaken | PmuEvent::BrInstExecTaken => taken,
+            PmuEvent::IbsOp => uops,
+        }
+    }
+
+    /// The most [`PmuEvent::increment`] can return for one retired
+    /// instruction.
+    #[must_use]
+    #[inline]
+    pub fn max_increment(self) -> u64 {
+        match self {
+            PmuEvent::IbsOp => u64::from(MAX_UOPS),
+            _ => 1,
         }
     }
 
@@ -112,5 +140,23 @@ mod tests {
     fn ibs_counts_uops() {
         assert_eq!(PmuEvent::IbsOp.increment(&ev(8, None)), 8);
         assert_eq!(PmuEvent::IbsOp.increment(&ev(1, None)), 1);
+    }
+
+    #[test]
+    fn bulk_increment_is_the_sum_of_single_increments() {
+        let events = [ev(1, None), ev(8, Some(3)), ev(2, Some(0)), ev(6, None)];
+        let taken = events.iter().filter(|e| e.is_taken_branch()).count() as u64;
+        let uops: u64 = events.iter().map(|e| u64::from(e.uops)).sum();
+        for event in [
+            PmuEvent::InstRetiredAny,
+            PmuEvent::BrInstExecTaken,
+            PmuEvent::IbsOp,
+        ] {
+            let one_by_one: u64 = events.iter().map(|e| event.increment(e)).sum();
+            assert_eq!(event.increment_over(4, taken, uops), one_by_one);
+            assert!(events
+                .iter()
+                .all(|e| event.increment(e) <= event.max_increment()));
+        }
     }
 }

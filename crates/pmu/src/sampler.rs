@@ -158,7 +158,12 @@ pub struct Sampler {
     pmi_latency: u64,
     pmi_jitter: u64,
     counter: i64,
+    /// Retirements kept out of the quiet horizon so that the head of the
+    /// overflowing dispatch group is observed: the retire width for IBS
+    /// (the only mechanism that reads `cycle_head`), 0 otherwise.
+    head_margin: u64,
     periods: PeriodGenerator,
+    /// Fed only when `collect_lbr` is set: nothing else reads it.
     lbr: LbrStack,
     rng: SmallRng,
     state: CaptureState,
@@ -191,6 +196,11 @@ impl Sampler {
             pmi_latency: u64::from(machine.pmi_latency),
             pmi_jitter: u64::from(machine.pmi_jitter),
             counter: first,
+            head_margin: if config.precision == Precision::Ibs {
+                u64::from(machine.retire_width)
+            } else {
+                0
+            },
             periods,
             lbr: LbrStack::new(machine.pmu.lbr_depth, config.lbr_filter, config.lbr_mode),
             rng: SmallRng::seed_from_u64(config.seed),
@@ -366,9 +376,9 @@ impl Sampler {
 }
 
 impl RetireObserver for Sampler {
-    // The serving layer runs this once per retired instruction through
-    // `Cpu::run_observed`; the hint lets the whole per-event path inline
-    // into the dispatch loop across the crate boundary.
+    // The serving layer runs this through `Cpu::run_observed`; the hint
+    // lets the whole per-event path inline into the dispatch loop across
+    // the crate boundary.
     #[inline]
     fn on_retire(&mut self, ev: &RetireEvent) {
         if ev.cycle != self.last_cycle {
@@ -376,7 +386,9 @@ impl RetireObserver for Sampler {
             self.last_cycle = ev.cycle;
         }
         self.resolve_pending(ev);
-        self.lbr.observe(ev);
+        if self.collect_lbr {
+            self.lbr.observe(ev);
+        }
         self.count_and_overflow(ev);
     }
 
@@ -384,6 +396,40 @@ impl RetireObserver for Sampler {
         // An in-flight PMI past the end of the run produces no sample,
         // like a PMI arriving after the process exited.
         self.state = CaptureState::Idle;
+    }
+
+    /// While no capture is in flight, the retirements that cannot bring
+    /// the counter to zero change nothing but the counter: each adds at
+    /// most `max_increment`, so `(counter - 1) / max_increment` of them
+    /// are safe. IBS keeps `head_margin` more of them visible, so the
+    /// retirement before the overflowing dispatch group's head and the
+    /// head itself are both seen and `cycle_head` is exact when it is
+    /// read. (A stale `cycle_head` between overflows is never read.) A
+    /// capture in flight watches every retirement.
+    #[inline]
+    fn quiet_for(&self) -> u64 {
+        if self.state != CaptureState::Idle {
+            return 0;
+        }
+        ((self.counter - 1) as u64 / self.event.max_increment()).saturating_sub(self.head_margin)
+    }
+
+    /// LBR collection must see every taken transfer.
+    #[inline]
+    fn needs_taken(&self) -> bool {
+        self.collect_lbr
+    }
+
+    #[inline]
+    fn on_skipped(&mut self, insns: u64, taken: u64, uops: u64) {
+        let inc = self.event.increment_over(insns, taken, uops);
+        debug_assert!(
+            self.state == CaptureState::Idle && (inc as i64) < self.counter,
+            "a skip of {inc} events crosses an overflow at {}",
+            self.counter
+        );
+        self.batch.total_events += inc;
+        self.counter -= inc as i64;
     }
 }
 
@@ -563,6 +609,69 @@ mod tests {
             assert!(lbr.len() <= 16);
             assert!(!lbr.is_empty());
         }
+    }
+
+    #[test]
+    fn lbr_is_fed_only_when_collected() {
+        let m = MachineModel::ivy_bridge();
+        let p = straight_line_workload();
+        for collect in [false, true] {
+            let mut cfg = SamplerConfig::new(
+                PmuEvent::InstRetiredPrecDist,
+                Precision::Pdir,
+                PeriodSpec::fixed(101),
+            );
+            cfg.collect_lbr = collect;
+            let mut per_event = Sampler::new(&m, &cfg).unwrap();
+            let mut skipping = Sampler::new(&m, &cfg).unwrap();
+            let mut cpu = Cpu::new(&m);
+            cpu.run(&p, &RunConfig::default(), &mut [&mut per_event])
+                .unwrap();
+            cpu.run_observed(&p, &RunConfig::default(), &mut skipping)
+                .unwrap();
+            for s in [&per_event, &skipping] {
+                assert_eq!(s.needs_taken(), collect);
+                if collect {
+                    // One taken `brnz` per loop iteration, every one seen.
+                    assert_eq!(s.lbr.total_recorded(), 4999);
+                    assert_eq!(s.lbr.len(), 16);
+                } else {
+                    assert!(s.lbr.is_empty());
+                    assert_eq!(s.lbr.total_recorded(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quiet_horizon_stops_short_of_every_overflow() {
+        let pdir = SamplerConfig::new(
+            PmuEvent::InstRetiredPrecDist,
+            Precision::Pdir,
+            PeriodSpec::fixed(1000),
+        );
+        let mut s = Sampler::new(&MachineModel::ivy_bridge(), &pdir).unwrap();
+        // One event per retirement: the 1000th overflows.
+        assert_eq!(s.quiet_for(), 999);
+        s.on_skipped(999, 120, 999);
+        assert_eq!(s.quiet_for(), 0);
+        assert_eq!(s.batch.total_events, 999);
+
+        let m = MachineModel::magny_cours();
+        let ibs = SamplerConfig::new(PmuEvent::IbsOp, Precision::Ibs, PeriodSpec::fixed(1000));
+        let s = Sampler::new(&m, &ibs).unwrap();
+        // Up to MAX_UOPS uops per retirement, and the dispatch group
+        // holding the overflow stays visible.
+        let width = u64::from(m.retire_width);
+        assert_eq!(s.quiet_for(), 999 / u64::from(ct_isa::MAX_UOPS) - width);
+
+        // A capture in flight watches every retirement.
+        let mut s = Sampler::new(&MachineModel::ivy_bridge(), &pdir).unwrap();
+        s.state = CaptureState::AwaitNextAddr {
+            trigger_ip: 0,
+            trigger_seq: 0,
+        };
+        assert_eq!(s.quiet_for(), 0);
     }
 
     #[test]

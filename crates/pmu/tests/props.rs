@@ -28,8 +28,70 @@ fn loop_program(iters: u32, body_len: u8) -> ct_isa::Program {
     b.build().expect("valid")
 }
 
+/// Every event/mechanism pairing the sampler models, with and without LBR.
+const CONFIGS: [(PmuEvent, Precision, bool); 9] = [
+    (PmuEvent::InstRetiredAny, Precision::Imprecise, false),
+    (
+        PmuEvent::AmdRetiredInstructions,
+        Precision::Imprecise,
+        false,
+    ),
+    (PmuEvent::InstRetiredAll, Precision::Pebs, false),
+    (PmuEvent::InstRetiredAll, Precision::Pebs, true),
+    (PmuEvent::InstRetiredPrecDist, Precision::Pdir, false),
+    (PmuEvent::InstRetiredPrecDist, Precision::Pdir, true),
+    (PmuEvent::IbsOp, Precision::Ibs, false),
+    (PmuEvent::BrInstRetiredNearTaken, Precision::Imprecise, true),
+    (PmuEvent::BrInstExecTaken, Precision::Imprecise, true),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn skipping_capture_matches_per_event_capture(
+        config_idx in 0usize..CONFIGS.len(),
+        period in 1u64..600,
+        rand_bits in 0u32..6,
+        seed in 0u64..1_000,
+        drop in prop::bool::ANY,
+        iters in 50u32..1_500,
+        body_len in 1u8..20,
+    ) {
+        // `Cpu::run` delivers every retirement (the oracle);
+        // `Cpu::run_observed` lets the sampler skip its quiet stretches.
+        let (event, precision, lbr) = CONFIGS[config_idx];
+        let randomization = if rand_bits == 0 {
+            Randomization::None
+        } else {
+            Randomization::Software { bits: rand_bits }
+        };
+        let mut cfg = SamplerConfig::new(event, precision, PeriodSpec { nominal: period, randomization })
+            .with_seed(seed);
+        cfg.collect_lbr = lbr;
+        cfg.pmi_drop_rate = if drop { 0.3 } else { 0.0 };
+        let p = loop_program(iters, body_len);
+        let mut compared = 0;
+        for machine in MachineModel::paper_machines() {
+            if cfg.validate(&machine).is_err() {
+                continue;
+            }
+            let mut cpu = Cpu::new(&machine);
+            let mut per_event = Sampler::new(&machine, &cfg).unwrap();
+            let oracle = cpu.run(&p, &RunConfig::default(), &mut [&mut per_event]).unwrap();
+            let mut skipping = Sampler::new(&machine, &cfg).unwrap();
+            let summary = cpu.run_observed(&p, &RunConfig::default(), &mut skipping).unwrap();
+            prop_assert_eq!(summary, oracle);
+            prop_assert_eq!(skipping.stats(), per_event.stats());
+            let (got, want) = (skipping.into_batch(), per_event.into_batch());
+            prop_assert_eq!(got.total_events, want.total_events);
+            prop_assert_eq!(got.dropped_collisions, want.dropped_collisions);
+            prop_assert_eq!(got.dropped_injected, want.dropped_injected);
+            prop_assert_eq!(got.samples, want.samples);
+            compared += 1;
+        }
+        prop_assert!(compared > 0, "every configuration runs on some machine");
+    }
 
     #[test]
     fn sample_rate_tracks_period(

@@ -37,14 +37,55 @@ impl RetireEvent {
 
 /// Observer of the retirement stream.
 ///
-/// Implementations must be cheap: they run once per retired instruction.
+/// [`crate::Cpu::run`] delivers every retired instruction to
+/// [`RetireObserver::on_retire`], in program order, whatever the methods
+/// below return. [`crate::Cpu::run_observed`], which drives exactly one
+/// observer, honours a *quiet horizon*: after each delivered event it
+/// asks [`RetireObserver::quiet_for`] how many of the following
+/// retirements the observer can take as a summary. Those retirements
+/// reach the observer only as one [`RetireObserver::on_skipped`] call
+/// (their instruction, taken-transfer and uop counts), made just before
+/// the next delivered event or before `on_finish`. Taken transfers inside
+/// a quiet stretch are still delivered one by one when
+/// [`RetireObserver::needs_taken`] says so; each such delivery is
+/// preceded by the skip summary up to it, and the stretch goes on to its
+/// end (`quiet_for` is asked again only after the event at the end of
+/// the horizon). An observer may return a horizon only when
+/// processing those retirements one by one could not change anything
+/// but the counts `on_skipped` receives. The defaults (horizon 0) keep
+/// the per-event path, so observers that need every event need do
+/// nothing.
+///
+/// Implementations must be cheap: `on_retire` can run once per retired
+/// instruction.
 pub trait RetireObserver {
-    /// Called for every retired instruction in program order.
+    /// Called for a retired instruction in program order: for every one,
+    /// except the retirements inside a quiet stretch (see the trait docs).
     fn on_retire(&mut self, ev: &RetireEvent);
 
     /// Called once when execution finishes, with the final cycle count.
     /// Deferred work (e.g. a PMI still in flight) can be resolved here.
     fn on_finish(&mut self, _final_cycle: u64) {}
+
+    /// How many upcoming retirements (after the event just delivered, or
+    /// from the start of the run) this observer may take as a summary.
+    #[inline]
+    fn quiet_for(&self) -> u64 {
+        0
+    }
+
+    /// True when taken control transfers must be delivered to `on_retire`
+    /// even inside a quiet stretch.
+    #[inline]
+    fn needs_taken(&self) -> bool {
+        false
+    }
+
+    /// Summary of `insns` consecutive retirements that were not delivered:
+    /// `taken` of them were taken control transfers and together they
+    /// decoded into `uops` uops. Never called with `insns == 0`.
+    #[inline]
+    fn on_skipped(&mut self, _insns: u64, _taken: u64, _uops: u64) {}
 }
 
 /// A no-op observer, useful as a placeholder in generic code.

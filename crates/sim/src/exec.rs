@@ -152,11 +152,14 @@ struct Decoded {
 /// countdown) hides behind it and can never inline. Monomorphizing the
 /// loop over this sink instead lets the single-observer entry points
 /// ([`Cpu::run_observed`], [`Cpu::run_silent`]) compile the observer
-/// body straight into the interpreter. Semantics are identical across
-/// all sinks: same events, same order, same `on_finish` timing.
+/// body straight into the interpreter.
+///
+/// Each call also passes the interpreter's running totals *including*
+/// the event being retired: `taken` taken transfers and `uops` uops
+/// (the instruction total is `ev.seq + 1`). Only [`OneSink`] reads them.
 trait RetireSink {
-    fn retire(&mut self, ev: &RetireEvent);
-    fn finish(&mut self, final_cycle: u64);
+    fn retire(&mut self, ev: &RetireEvent, taken: u64, uops: u64);
+    fn finish(&mut self, final_cycle: u64, insns: u64, taken: u64, uops: u64);
 }
 
 /// No observers: the sink compiles away entirely (pure replay).
@@ -164,37 +167,91 @@ struct NoSink;
 
 impl RetireSink for NoSink {
     #[inline(always)]
-    fn retire(&mut self, _ev: &RetireEvent) {}
+    fn retire(&mut self, _ev: &RetireEvent, _taken: u64, _uops: u64) {}
     #[inline(always)]
-    fn finish(&mut self, _final_cycle: u64) {}
+    fn finish(&mut self, _final_cycle: u64, _insns: u64, _taken: u64, _uops: u64) {}
 }
 
-/// Exactly one observer, statically typed — the hot-path sink.
-struct OneSink<'a, O: RetireObserver + ?Sized>(&'a mut O);
+/// Exactly one observer, statically typed — the hot-path sink, and the
+/// only one that honours the observer's quiet horizon
+/// ([`RetireObserver::quiet_for`]).
+///
+/// It delivers an event only when `ev.seq` reaches `wake`, or when the
+/// event is a taken transfer and the observer
+/// [needs taken transfers](RetireObserver::needs_taken). The retirements
+/// in between cost one compare each: their counts come from the
+/// interpreter's running totals minus `seen`, and reach the observer as
+/// one [`RetireObserver::on_skipped`] call just before the next delivered
+/// event or `on_finish`.
+struct OneSink<'a, O: RetireObserver + ?Sized> {
+    obs: &'a mut O,
+    /// Sequence number of the next retirement the observer must see.
+    wake: u64,
+    /// Running totals `(insns, taken, uops)` the observer has accounted
+    /// for, through deliveries or skip summaries.
+    seen: (u64, u64, u64),
+}
+
+impl<'a, O: RetireObserver + ?Sized> OneSink<'a, O> {
+    fn new(obs: &'a mut O) -> Self {
+        let wake = obs.quiet_for();
+        Self {
+            obs,
+            wake,
+            seen: (0, 0, 0),
+        }
+    }
+
+    /// Reports every retirement up to the totals `(insns, taken, uops)`
+    /// that the observer has not yet accounted for.
+    #[inline(always)]
+    fn flush(&mut self, insns: u64, taken: u64, uops: u64) {
+        let (seen_insns, seen_taken, seen_uops) = self.seen;
+        if insns > seen_insns {
+            self.obs
+                .on_skipped(insns - seen_insns, taken - seen_taken, uops - seen_uops);
+        }
+    }
+}
 
 impl<O: RetireObserver + ?Sized> RetireSink for OneSink<'_, O> {
     #[inline(always)]
-    fn retire(&mut self, ev: &RetireEvent) {
-        self.0.on_retire(ev);
+    fn retire(&mut self, ev: &RetireEvent, taken: u64, uops: u64) {
+        let due = ev.seq >= self.wake;
+        if !(due || (ev.taken_target.is_some() && self.obs.needs_taken())) {
+            return;
+        }
+        let is_taken = u64::from(ev.taken_target.is_some());
+        self.flush(ev.seq, taken - is_taken, uops - u64::from(ev.uops));
+        self.obs.on_retire(ev);
+        self.seen = (ev.seq + 1, taken, uops);
+        // A taken transfer delivered inside a quiet stretch leaves the
+        // stretch's promise standing, so the horizon is asked again only
+        // at its end.
+        if due {
+            self.wake = (ev.seq + 1).saturating_add(self.obs.quiet_for());
+        }
     }
     #[inline(always)]
-    fn finish(&mut self, final_cycle: u64) {
-        self.0.on_finish(final_cycle);
+    fn finish(&mut self, final_cycle: u64, insns: u64, taken: u64, uops: u64) {
+        self.flush(insns, taken, uops);
+        self.obs.on_finish(final_cycle);
     }
 }
 
 /// Arbitrary observer set behind dyn dispatch (the [`Cpu::run`] API).
+/// Every event reaches every observer: quiet horizons are not consulted.
 struct SliceSink<'a, 'b>(&'a mut [&'b mut dyn RetireObserver]);
 
 impl RetireSink for SliceSink<'_, '_> {
     #[inline]
-    fn retire(&mut self, ev: &RetireEvent) {
+    fn retire(&mut self, ev: &RetireEvent, _taken: u64, _uops: u64) {
         for obs in self.0.iter_mut() {
             obs.on_retire(ev);
         }
     }
     #[inline]
-    fn finish(&mut self, final_cycle: u64) {
+    fn finish(&mut self, final_cycle: u64, _insns: u64, _taken: u64, _uops: u64) {
         for obs in self.0.iter_mut() {
             obs.on_finish(final_cycle);
         }
@@ -224,7 +281,8 @@ impl<'m> Cpu<'m> {
     }
 
     /// Runs `program` to completion, publishing every retired instruction
-    /// to `observers` in order.
+    /// to `observers` in order (quiet horizons are ignored: every observer
+    /// sees every event).
     ///
     /// Every run starts from the identical architectural cold state
     /// (cleared memory, empty call stack, invalid cache ways,
@@ -243,7 +301,10 @@ impl<'m> Cpu<'m> {
     /// Like [`Cpu::run`] with exactly one observer, monomorphized over
     /// its concrete type: the observer's `on_retire` inlines into the
     /// dispatch loop instead of paying a virtual call per retired
-    /// instruction. The serving layer runs its PMU sampler through
+    /// instruction. It also honours the observer's quiet horizon
+    /// ([`RetireObserver::quiet_for`]): retirements the observer can take
+    /// as a summary reach it as one `on_skipped` call instead of one
+    /// `on_retire` each. The serving layer runs its PMU sampler through
     /// this entry point.
     pub fn run_observed<O: RetireObserver + ?Sized>(
         &mut self,
@@ -251,7 +312,7 @@ impl<'m> Cpu<'m> {
         config: &RunConfig,
         observer: &mut O,
     ) -> Result<RunSummary, SimError> {
-        self.run_sink(program, config, &mut OneSink(observer))
+        self.run_sink(program, config, &mut OneSink::new(observer))
     }
 
     /// Like [`Cpu::run`] with no observers at all: the event stream is
@@ -533,7 +594,7 @@ impl<'m> Cpu<'m> {
                     );
                     instructions += 1;
                     uops += u64::from(insn.uops);
-                    sink.retire(&ev);
+                    sink.retire(&ev, taken_branches, uops);
                     break StopReason::Halted;
                 }
             }
@@ -556,14 +617,14 @@ impl<'m> Cpu<'m> {
             uops += u64::from(insn.uops);
             taken_branches += u64::from(taken_target.is_some());
             mispredicts += u64::from(mispredicted);
-            sink.retire(&ev);
+            sink.retire(&ev, taken_branches, uops);
             if mispredicted {
                 pending_bubble = u64::from(m.mispredict_penalty);
             }
             pc = next_pc;
         };
 
-        sink.finish(cycle);
+        sink.finish(cycle, instructions, taken_branches, uops);
         let (l1_hits, l2_hits, mem_accesses) = cache.stats();
         let (bp_lookups, bp_miss) = bpred.stats();
         debug_assert_eq!(bp_miss, mispredicts);
@@ -1015,6 +1076,133 @@ mod tests {
         // seq is dense and ordered.
         for (i, ev) in c.0.iter().enumerate() {
             assert_eq!(ev.seq, i as u64);
+        }
+    }
+
+    /// Declares a fixed quiet horizon and records what reaches it.
+    #[derive(Default)]
+    struct Napper {
+        quiet: u64,
+        taken: bool,
+        delivered: Vec<RetireEvent>,
+        /// `(insns, taken, uops)` accounted so far, by delivery or skip.
+        totals: (u64, u64, u64),
+        skips: u64,
+        /// `totals` as `on_finish` saw them.
+        at_finish: Option<(u64, u64, u64)>,
+    }
+    impl RetireObserver for Napper {
+        fn on_retire(&mut self, ev: &RetireEvent) {
+            assert_eq!(
+                ev.seq, self.totals.0,
+                "skips are flushed before the next event"
+            );
+            self.delivered.push(*ev);
+            self.totals.0 += 1;
+            self.totals.1 += u64::from(ev.is_taken_branch());
+            self.totals.2 += u64::from(ev.uops);
+        }
+        fn on_finish(&mut self, _final_cycle: u64) {
+            self.at_finish = Some(self.totals);
+        }
+        fn quiet_for(&self) -> u64 {
+            self.quiet
+        }
+        fn needs_taken(&self) -> bool {
+            self.taken
+        }
+        fn on_skipped(&mut self, insns: u64, taken: u64, uops: u64) {
+            assert!(insns > 0 && taken <= insns && uops >= insns);
+            self.skips += 1;
+            self.totals.0 += insns;
+            self.totals.1 += taken;
+            self.totals.2 += uops;
+        }
+    }
+
+    #[test]
+    fn quiet_horizons_skip_and_account_in_bulk() {
+        let p = assemble(
+            "t",
+            r#"
+            .func main
+                movi r1, 40
+                movi r2, 3
+            top:
+                call work
+                div r5, r1, r2
+                subi r1, r1, 1
+                brnz r1, top
+                halt
+            .endfunc
+            .func work
+                addi r3, r3, 1
+                store r3, [r0+0]
+                ret
+            .endfunc
+            .data 4
+        "#,
+        )
+        .unwrap();
+        let m = MachineModel::ivy_bridge();
+        let mut all = Collector::default();
+        let full = Cpu::new(&m)
+            .run(&p, &RunConfig::default(), &mut [&mut all])
+            .unwrap();
+        let totals = (full.instructions, full.taken_branches, full.uops);
+        for (quiet, taken) in [
+            (0, false),
+            (1, false),
+            (5, false),
+            (5, true),
+            (u64::MAX, false),
+            (u64::MAX, true),
+        ] {
+            let mut nap = Napper {
+                quiet,
+                taken,
+                ..Napper::default()
+            };
+            let summary = Cpu::new(&m)
+                .run_observed(&p, &RunConfig::default(), &mut nap)
+                .unwrap();
+            assert_eq!(summary, full, "observers never change the run");
+            assert_eq!(
+                nap.at_finish,
+                Some(totals),
+                "skips are flushed before on_finish"
+            );
+            let mut wake = quiet;
+            let expected: Vec<RetireEvent> = all
+                .0
+                .iter()
+                .filter(|ev| {
+                    let due = ev.seq >= wake;
+                    if due {
+                        wake = (ev.seq + 1).saturating_add(quiet);
+                    }
+                    due || (taken && ev.is_taken_branch())
+                })
+                .copied()
+                .collect();
+            assert_eq!(nap.delivered, expected, "quiet {quiet}, taken {taken}");
+            if quiet == 0 {
+                assert_eq!(nap.skips, 0);
+            } else {
+                assert!(nap.skips > 0 && (nap.delivered.len() as u64) < full.instructions);
+            }
+
+            // `Cpu::run` ignores the horizon: every event, no skips.
+            let mut nap = Napper {
+                quiet,
+                taken,
+                ..Napper::default()
+            };
+            Cpu::new(&m)
+                .run(&p, &RunConfig::default(), &mut [&mut nap])
+                .unwrap();
+            assert_eq!(nap.delivered, all.0);
+            assert_eq!(nap.skips, 0);
         }
     }
 

@@ -21,7 +21,10 @@
 //! the PMU model (`ct-pmu`), the reference instrumentation
 //! (`ct-instrument`) and the profiling session (`countertrust`) all observe
 //! this one stream, exactly as PMU, Pin and perf all observe one execution
-//! on real hardware.
+//! on real hardware. An observer that can take stretches of that stream as
+//! bulk counts (the PMU sampler between overflows) declares a quiet
+//! horizon, which [`Cpu::run_observed`] honours and [`Cpu::run`] ignores;
+//! see [`event::RetireObserver`].
 //!
 //! # Examples
 //!

@@ -14,8 +14,9 @@
 //! around its own steady-state section; the suite still passes when the
 //! tests run concurrently because every bound is stated per unit of
 //! work done *at least* (other tests only add work, never remove it) —
-//! except the exact-zero interpreter audit, which serializes behind a
-//! lock to keep other tests' allocations out of its window.
+//! except the exact-zero interpreter audits, which serialize with every
+//! other test behind a lock to keep their allocations out of the
+//! window.
 
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::MethodOptions;
@@ -117,6 +118,9 @@ fn retained_cpu_swapping_programs_settles_allocation_free() {
 /// Shared serve-path audit: warms the service, then measures the
 /// allocation delta of `steady` and bounds it per retired instruction.
 fn audit_serve(label: &str, steady: impl FnOnce(&EvalService, &[EvalRequest])) {
+    // Serve-path allocations would land in an exact-zero window if they
+    // ran beside it.
+    let _guard = EXCLUSIVE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let machines = [MachineModel::ivy_bridge()];
     let program = kernel();
     let run_config = RunConfig::default();

@@ -2,8 +2,8 @@
 //!
 //! These encode the *qualitative* findings — who wins, by roughly what
 //! factor, and where the exceptions fall — at reduced workload scale so
-//! they run inside the normal test suite. The full-scale numbers live in
-//! EXPERIMENTS.md and are regenerated by the `ct-bench` binaries.
+//! they run inside the normal test suite. The full-scale tables are
+//! regenerated by the `ct-bench` binaries `table1` and `table2`.
 
 use countertrust::methods::{MethodKind, MethodOptions};
 use countertrust::{MethodRun, Session};
